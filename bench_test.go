@@ -470,6 +470,30 @@ func BenchmarkWCRT(b *testing.B) {
 	}
 }
 
+// BenchmarkWCRTFleet times the same analysis on the ~2000-task fleet
+// workload. Its ratio to BenchmarkWCRT is gated in tools/bench_compare:
+// with per-ECU priority tables the cost grows with the tasks per ECU,
+// and a whole-graph scan per task would show up as a jump in the ratio.
+func BenchmarkWCRTFleet(b *testing.B) {
+	g, _ := fleetBenchGraph(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		disparity.WCRT(g)
+	}
+}
+
+// BenchmarkValidateFleet times Graph.Validate (structural checks, the
+// per-ECU priority check and TopoOrder) on the fleet workload.
+func BenchmarkValidateFleet(b *testing.B) {
+	g, _ := fleetBenchGraph(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOptimize times Algorithm 1 on a two-chain workload.
 func BenchmarkOptimize(b *testing.B) {
 	var (

@@ -293,12 +293,18 @@ func (ev *pairEval) pdiffUB(i, j int) timeu.Time {
 	return timeu.Max(timeu.Abs(ev.wFull[i]-ev.bFull[j]), timeu.Abs(ev.wFull[j]-ev.bFull[i]))
 }
 
+// join returns the trie node where chains i and j meet: the LCA of
+// their leaves.
+func (ev *pairEval) join(i, j int) int32 {
+	return ev.idx.LCA(ev.idx.Leaf(i), ev.idx.Leaf(j))
+}
+
 // evalSDiff reproduces StripCommonSuffix + pairTheorem2 (including its
-// Theorem-1 fallbacks) on the chain pair (i, j) via trie segments.
-func (ev *pairEval) evalSDiff(i, j int, s *pairScratch, v *pairVals) error {
+// Theorem-1 fallbacks) on the chain pair (i, j) via trie segments; f is
+// the pair's join node (see join).
+func (ev *pairEval) evalSDiff(i, j int, f int32, s *pairScratch, v *pairVals) error {
 	idx := ev.idx
 	u, w := idx.Leaf(i), idx.Leaf(j)
-	f := idx.LCA(u, w)
 	laLen := int(idx.NodeDepth(u) - idx.NodeDepth(f) + 1)
 	nuLen := int(idx.NodeDepth(w) - idx.NodeDepth(f) + 1)
 	sameHead := ev.headTask[i] == ev.headTask[j]
@@ -478,7 +484,7 @@ func (a *Analysis) disparityFast(task model.TaskID, m Method, maxChains int) (*T
 		for j := i + 1; j < n; j++ {
 			if m == PDiff {
 				ev.evalPDiff(i, j, &v)
-			} else if err := ev.evalSDiff(i, j, &s, &v); err != nil {
+			} else if err := ev.evalSDiff(i, j, ev.join(i, j), &s, &v); err != nil {
 				return nil, err
 			}
 			pb := ev.toPairBound(cs[i], cs[j], &v)
@@ -570,7 +576,7 @@ func (a *Analysis) disparityBound(task model.TaskID, m Method, maxChains int) (*
 	var v pairVals
 	if m == PDiff {
 		ev.evalPDiff(i, j, &v)
-	} else if err := ev.evalSDiff(i, j, &s, &v); err != nil {
+	} else if err := ev.evalSDiff(i, j, ev.join(i, j), &s, &v); err != nil {
 		return nil, err
 	}
 	pairsBounded.Add(-1)
@@ -586,8 +592,9 @@ func (a *Analysis) disparityBound(task model.TaskID, m Method, maxChains int) (*
 // stale read merely prunes less, so the shared atomic is sound under
 // concurrency; the result never depends on it (a pruned pair's bound
 // is strictly below the final maximum, so it can attain neither the
-// maximum nor the first-attaining rank).
-func (ev *pairEval) evalPair(m Method, i, j int, s *pairScratch, v *pairVals, threshold *atomic.Int64) (evaluated bool, err error) {
+// maximum nor the first-attaining rank). f is the pair's join node
+// when the caller already knows it, or -1.
+func (ev *pairEval) evalPair(m Method, i, j int, f int32, s *pairScratch, v *pairVals, threshold *atomic.Int64) (evaluated bool, err error) {
 	if m == PDiff {
 		if ev.pdiffUB(i, j) < timeu.Time(threshold.Load()) {
 			return false, nil
@@ -595,15 +602,17 @@ func (ev *pairEval) evalPair(m Method, i, j int, s *pairScratch, v *pairVals, th
 		ev.evalPDiff(i, j, v)
 		return true, nil
 	}
+	if f < 0 {
+		f = ev.join(i, j)
+	}
 	if ev.maskStride != 0 {
 		u, w := ev.idx.Leaf(i), ev.idx.Leaf(j)
-		f := ev.idx.LCA(u, w)
 		c1, _ := ev.maskC1(u, w, f, ev.headTask[i], ev.headTask[i] == ev.headTask[j])
 		if c1 && ev.sdiffC1UB(u, w, f) < timeu.Time(threshold.Load()) {
 			return false, nil
 		}
 	}
-	if err := ev.evalSDiff(i, j, s, v); err != nil {
+	if err := ev.evalSDiff(i, j, f, s, v); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -623,7 +632,7 @@ func (ev *pairEval) boundBlock(m Method, n, lo, hi int, threshold *atomic.Int64)
 		}
 	}()
 	for rank := lo; rank < hi; rank++ {
-		evaluated, err := ev.evalPair(m, i, j, &s, &v, threshold)
+		evaluated, err := ev.evalPair(m, i, j, -1, &s, &v, threshold)
 		if err != nil {
 			best.err = err
 			return best

@@ -46,7 +46,7 @@ func (a *Analysis) ForEachPairBound(task model.TaskID, m Method, maxChains int, 
 		for j := i + 1; j < n; j++ {
 			if m == PDiff {
 				ev.evalPDiff(i, j, &v)
-			} else if err := ev.evalSDiff(i, j, &s, &v); err != nil {
+			} else if err := ev.evalSDiff(i, j, ev.join(i, j), &s, &v); err != nil {
 				return nil, err
 			}
 			if v.bound > td.Bound || bestRank < 0 {

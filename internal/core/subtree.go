@@ -403,7 +403,7 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int
 	if r.qLo < 0 { // triangle
 		for i := int(r.pLo); i < int(r.pHi); i++ {
 			for j := i + 1; j < int(r.pHi); j++ {
-				ok, err := ev.evalPair(m, i, j, &s, &v, threshold)
+				ok, err := ev.evalPair(m, i, j, -1, &s, &v, threshold)
 				if err != nil {
 					best.err = err
 					return best
@@ -437,7 +437,7 @@ func (ev *pairEval) evalRect(m Method, n int, r *pairRect, threshold *atomic.Int
 	}
 	for i := int(r.pLo); i < int(r.pHi); i++ {
 		for j := int(r.qLo); j < int(r.qHi); j++ {
-			ok, err := ev.evalPair(m, i, j, &s, &v, threshold)
+			ok, err := ev.evalPair(m, i, j, r.f, &s, &v, threshold)
 			if err != nil {
 				best.err = err
 				return best

@@ -382,7 +382,9 @@ func (g *Graph) SameECU(a, b TaskID) bool {
 }
 
 // TopoOrder returns a topological order of the tasks, or an error if the
-// graph has a cycle.
+// graph has a cycle. Among ready tasks the smallest ID always comes
+// first, so the order is deterministic; a binary min-heap keeps each
+// pick O(log n).
 func (g *Graph) TopoOrder() ([]TaskID, error) {
 	g.ensureAdj()
 	n := len(g.tasks)
@@ -390,28 +392,22 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 	for _, e := range g.edges {
 		indeg[e.Dst]++
 	}
-	queue := make([]TaskID, 0, n)
+	// Appending in increasing ID order already satisfies the heap order.
+	ready := make([]TaskID, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, TaskID(i))
+			ready = append(ready, TaskID(i))
 		}
 	}
 	order := make([]TaskID, 0, n)
-	for len(queue) > 0 {
-		// Pop the smallest ID for a deterministic order.
-		best := 0
-		for i := 1; i < len(queue); i++ {
-			if queue[i] < queue[best] {
-				best = i
-			}
-		}
-		v := queue[best]
-		queue = append(queue[:best], queue[best+1:]...)
+	for len(ready) > 0 {
+		var v TaskID
+		v, ready = popMin(ready)
 		order = append(order, v)
 		for _, s := range g.succ[v] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				ready = pushMin(ready, s)
 			}
 		}
 	}
@@ -419,6 +415,44 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 		return nil, fmt.Errorf("model: graph has a cycle")
 	}
 	return order, nil
+}
+
+// pushMin adds v to the binary min-heap h.
+func pushMin(h []TaskID, v TaskID) []TaskID {
+	h = append(h, v)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	return h
+}
+
+// popMin removes and returns the smallest element of the non-empty
+// binary min-heap h.
+func popMin(h []TaskID) (TaskID, []TaskID) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return top, h
 }
 
 // Validate checks structural invariants: acyclicity, positive periods,

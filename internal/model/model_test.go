@@ -1,6 +1,9 @@
 package model
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,6 +88,85 @@ func TestTopoOrder(t *testing.T) {
 		if pos[e.Src] >= pos[e.Dst] {
 			t.Errorf("edge %d->%d violates topological order", e.Src, e.Dst)
 		}
+	}
+}
+
+// topoOrderScan is the selection-scan TopoOrder the heap replaced: it
+// finds the smallest ready ID by a linear scan on every pop. It is the
+// oracle for TestTopoOrderMatchesScan.
+func topoOrderScan(g *Graph) ([]TaskID, error) {
+	indeg := make([]int, g.NumTasks())
+	for _, e := range g.Edges() {
+		indeg[e.Dst]++
+	}
+	var queue, order []TaskID
+	for i := range indeg {
+		if indeg[i] == 0 {
+			queue = append(queue, TaskID(i))
+		}
+	}
+	for len(queue) > 0 {
+		best := 0
+		for i := 1; i < len(queue); i++ {
+			if queue[i] < queue[best] {
+				best = i
+			}
+		}
+		v := queue[best]
+		queue = append(queue[:best], queue[best+1:]...)
+		order = append(order, v)
+		for _, s := range g.Successors(v) {
+			indeg[s]--
+			if indeg[s] == 0 {
+				queue = append(queue, s)
+			}
+		}
+	}
+	if len(order) != g.NumTasks() {
+		return nil, fmt.Errorf("model: graph has a cycle")
+	}
+	return order, nil
+}
+
+// TestTopoOrderMatchesScan checks the heap-ordered TopoOrder against
+// the selection scan on random DAGs whose topological ranks are a
+// random permutation of the IDs, and on graphs with a back edge added.
+func TestTopoOrderMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cycles := 0
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(60)
+		g := NewGraph()
+		for i := 0; i < n; i++ {
+			g.AddTask(Task{Period: ms})
+		}
+		rank := rng.Perm(n) // rank[k] is the task at topological rank k
+		for e, m := 0, rng.Intn(3*n); e < m; e++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a == b {
+				continue
+			}
+			if a > b {
+				a, b = b, a
+			}
+			_ = g.AddEdge(TaskID(rank[a]), TaskID(rank[b]))
+		}
+		if trial%4 == 3 && n > 1 {
+			// A back edge from the rank-last task to the rank-first
+			// closes a cycle whenever the two are connected.
+			_ = g.AddEdge(TaskID(rank[n-1]), TaskID(rank[0]))
+		}
+		got, err := g.TopoOrder()
+		want, wantErr := topoOrderScan(g)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: TopoOrder = %v, %v; scan = %v, %v", trial, got, err, want, wantErr)
+		}
+		if err != nil {
+			cycles++
+		}
+	}
+	if cycles == 0 {
+		t.Fatal("no cyclic graph exercised")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/model"
+	"repro/internal/timeu"
 )
 
 // AssignRateMonotonic assigns priorities per ECU by increasing period
@@ -77,40 +78,43 @@ func assignByOrder(g *model.Graph, less func(a, b *model.Task) bool) {
 // exact, so false negatives are possible). On success the graph's Prio
 // fields hold the found assignment.
 func AssignAudsley(g *model.Graph) bool {
-	work := g.Clone()
-	for _, ecu := range work.ECUs() {
-		ids := work.TasksOnECU(ecu.ID)
-		if !audsleyECU(work, ids) {
+	prio := make([]int, g.NumTasks())
+	for i := range prio {
+		prio[i] = g.Task(model.TaskID(i)).Prio
+	}
+	for _, ecu := range g.ECUs() {
+		if !audsleyECU(g, g.TasksOnECU(ecu.ID), prio) {
 			return false
 		}
 	}
 	// Copy the successful assignment back.
-	for i := 0; i < g.NumTasks(); i++ {
-		g.Task(model.TaskID(i)).Prio = work.Task(model.TaskID(i)).Prio
+	for i, p := range prio {
+		g.Task(model.TaskID(i)).Prio = p
 	}
 	return true
 }
 
-func audsleyECU(g *model.Graph, ids []model.TaskID) bool {
-	unassigned := append([]model.TaskID(nil), ids...)
+// audsleyECU assigns the levels of one ECU's tasks into prio. A
+// candidate tried at a level has every other unassigned task above it
+// (its hp) and every already placed task below it, so its blocking term
+// is the largest WCET placed so far; Prio values play no part.
+func audsleyECU(g *model.Graph, unassigned []model.TaskID, prio []int) bool {
+	hp := make([]*model.Task, 0, len(unassigned))
+	var blk timeu.Time
 	// Assign levels from lowest (len-1) upward.
-	for level := len(ids) - 1; level >= 0; level-- {
+	for level := len(unassigned) - 1; level >= 0; level-- {
 		placed := false
 		for i, cand := range unassigned {
-			// Tentatively: cand at this level, all other unassigned tasks
-			// above it. Audsley's argument only needs the relative order
-			// "cand below the rest"; give the rest arbitrary distinct
-			// higher priorities.
-			g.Task(cand).Prio = level
-			rank := 0
+			hp = hp[:0]
 			for _, other := range unassigned {
-				if other == cand {
-					continue
+				if other != cand {
+					hp = append(hp, g.Task(other))
 				}
-				g.Task(other).Prio = rank
-				rank++
 			}
-			if r, ok := npResponseTime(g, cand); ok && r <= g.Task(cand).EffectiveDeadline() {
+			task := g.Task(cand)
+			if r, ok := npResponseTime(task, hp, blk); ok && r <= task.EffectiveDeadline() {
+				prio[cand] = level
+				blk = timeu.Max(blk, task.WCET)
 				unassigned = append(unassigned[:i], unassigned[i+1:]...)
 				placed = true
 				break

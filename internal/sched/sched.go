@@ -12,7 +12,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -76,52 +78,80 @@ const maxIterations = 1 << 16
 // Result.Unschedulable, so callers can report all violations at once.
 func Analyze(g *model.Graph, policy Policy) *Result {
 	analysesRun.Inc()
-	res := &Result{
-		WCRT:        make([]timeu.Time, g.NumTasks()),
-		Schedulable: true,
+	n := g.NumTasks()
+	res := &Result{WCRT: make([]timeu.Time, n), Schedulable: true}
+	late := make([]bool, n)
+	order := byECUPriority(g)
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && order[hi].ECU == order[lo].ECU {
+			hi++
+		}
+		analyzeECU(order[lo:hi], policy, res.WCRT, late)
+		lo = hi
 	}
-	for i := 0; i < g.NumTasks(); i++ {
-		id := model.TaskID(i)
-		task := g.Task(id)
-		if task.ECU == model.NoECU {
-			res.WCRT[i] = 0
-			continue
-		}
-		var r timeu.Time
-		var ok bool
-		switch policy {
-		case NonPreemptiveFP:
-			r, ok = npResponseTime(g, id)
-		case PreemptiveFP:
-			r, ok = pResponseTime(g, id)
-		default:
-			panic(fmt.Sprintf("sched: unknown policy %d", policy))
-		}
-		res.WCRT[i] = r
-		if !ok || r > task.EffectiveDeadline() {
+	for i, l := range late {
+		if l {
 			res.Schedulable = false
-			res.Unschedulable = append(res.Unschedulable, id)
+			res.Unschedulable = append(res.Unschedulable, model.TaskID(i))
 		}
 	}
 	return res
 }
 
-// interferers partitions the same-ECU competitors of task id into
-// higher-priority and lower-priority sets.
-func interferers(g *model.Graph, id model.TaskID) (hp, lp []*model.Task) {
-	task := g.Task(id)
-	for _, other := range g.TasksOnECU(task.ECU) {
-		if other == id {
-			continue
-		}
-		o := g.Task(other)
-		if o.Prio < task.Prio {
-			hp = append(hp, o)
-		} else {
-			lp = append(lp, o)
+// byECUPriority returns the scheduled tasks sorted by (ECU, Prio, ID),
+// so each ECU's tasks form one contiguous segment in priority order.
+// It is rebuilt per Analyze call, never cached on the graph, because
+// priority assignment rewrites Prio in place. Keying on the ECU value
+// itself, not an index into g.ECUs(), keeps ECU IDs that Validate
+// rejects analysable.
+func byECUPriority(g *model.Graph) []*model.Task {
+	order := make([]*model.Task, 0, g.NumTasks())
+	for i := 0; i < g.NumTasks(); i++ {
+		if t := g.Task(model.TaskID(i)); t.ECU != model.NoECU {
+			order = append(order, t)
 		}
 	}
-	return hp, lp
+	slices.SortFunc(order, func(a, b *model.Task) int {
+		if c := cmp.Compare(a.ECU, b.ECU); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Prio, b.Prio); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return order
+}
+
+// analyzeECU bounds the WCRT of one ECU's tasks, given in (Prio, ID)
+// order, into wcrt and flags deadline misses in late. A task's hp is
+// the prefix of seg with strictly smaller Prio; every other task blocks
+// it, those sharing its priority included. Walking from the lowest
+// priority up carries the blocking maximum, so no task scans the ECU.
+func analyzeECU(seg []*model.Task, policy Policy, wcrt []timeu.Time, late []bool) {
+	var lower timeu.Time // max WCET of seg[k+1:]
+	for k := len(seg) - 1; k >= 0; k-- {
+		task := seg[k]
+		h, blk := k, lower
+		for h > 0 && seg[h-1].Prio == task.Prio {
+			h--
+			blk = timeu.Max(blk, seg[h].WCET)
+		}
+		var r timeu.Time
+		var ok bool
+		switch policy {
+		case NonPreemptiveFP:
+			r, ok = npResponseTime(task, seg[:h], blk)
+		case PreemptiveFP:
+			r, ok = pResponseTime(task, seg[:h])
+		default:
+			panic(fmt.Sprintf("sched: unknown policy %d", policy))
+		}
+		wcrt[task.ID] = r
+		late[task.ID] = !ok || r > task.EffectiveDeadline()
+		lower = timeu.Max(lower, task.WCET)
+	}
 }
 
 // npResponseTime bounds the WCRT of a task under non-preemptive fixed
@@ -135,14 +165,7 @@ func interferers(g *model.Graph, id model.TaskID) (hp, lp []*model.Task) {
 //	L      = smallest t > 0 with t = blk + Σ_{j ∈ hp ∪ {i}} ⌈t/T_j⌉·W_j
 //	w(q)   = smallest w with w = blk + q·W_i + Σ_{j ∈ hp} (⌊w/T_j⌋+1)·W_j
 //	R      = max over q = 0..⌈L/T_i⌉−1 of w(q) − q·T_i + W_i
-func npResponseTime(g *model.Graph, id model.TaskID) (timeu.Time, bool) {
-	task := g.Task(id)
-	hp, lp := interferers(g, id)
-	var blk timeu.Time
-	for _, o := range lp {
-		blk = timeu.Max(blk, o.WCET)
-	}
-
+func npResponseTime(task *model.Task, hp []*model.Task, blk timeu.Time) (timeu.Time, bool) {
 	// Level-i busy period length.
 	busy := blk + task.WCET
 	for _, o := range hp {
@@ -210,9 +233,7 @@ func npResponseTime(g *model.Graph, id model.TaskID) (timeu.Time, bool) {
 
 // pResponseTime bounds the WCRT under preemptive fixed priority using the
 // classical r = W_i + Σ_{j ∈ hp} ⌈r/T_j⌉·W_j recurrence.
-func pResponseTime(g *model.Graph, id model.TaskID) (timeu.Time, bool) {
-	task := g.Task(id)
-	hp, _ := interferers(g, id)
+func pResponseTime(task *model.Task, hp []*model.Task) (timeu.Time, bool) {
 	r := task.WCET
 	for iter := 0; iter < maxIterations; iter++ {
 		fpIters.Inc()

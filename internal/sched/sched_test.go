@@ -1,11 +1,15 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/randgraph"
 	"repro/internal/timeu"
+	"repro/internal/waters"
 )
 
 const ms = timeu.Millisecond
@@ -385,5 +389,248 @@ func TestAssignDeadlineMonotonic(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// interferers is the brute-force oracle for Analyze's per-ECU
+// segments: it scans the whole graph and partitions the same-ECU
+// competitors of task id into higher-priority and lower-priority sets
+// (same-priority tasks count as lower, so they block).
+func interferers(g *model.Graph, id model.TaskID) (hp, lp []*model.Task) {
+	task := g.Task(id)
+	for _, other := range g.TasksOnECU(task.ECU) {
+		if other == id {
+			continue
+		}
+		o := g.Task(other)
+		if o.Prio < task.Prio {
+			hp = append(hp, o)
+		} else {
+			lp = append(lp, o)
+		}
+	}
+	return hp, lp
+}
+
+// analyzeOracle is Analyze with every task's competitors taken from
+// the whole-graph interferers scan instead of the sorted segments.
+func analyzeOracle(g *model.Graph, policy Policy) *Result {
+	res := &Result{WCRT: make([]timeu.Time, g.NumTasks()), Schedulable: true}
+	for i := 0; i < g.NumTasks(); i++ {
+		id := model.TaskID(i)
+		task := g.Task(id)
+		if task.ECU == model.NoECU {
+			continue
+		}
+		hp, lp := interferers(g, id)
+		var blk timeu.Time
+		for _, o := range lp {
+			blk = timeu.Max(blk, o.WCET)
+		}
+		var r timeu.Time
+		var ok bool
+		if policy == NonPreemptiveFP {
+			r, ok = npResponseTime(task, hp, blk)
+		} else {
+			r, ok = pResponseTime(task, hp)
+		}
+		res.WCRT[i] = r
+		if !ok || r > task.EffectiveDeadline() {
+			res.Schedulable = false
+			res.Unschedulable = append(res.Unschedulable, id)
+		}
+	}
+	return res
+}
+
+// checkAgainstOracle compares Analyze with analyzeOracle field by field
+// under both policies.
+func checkAgainstOracle(t *testing.T, name string, g *model.Graph) {
+	t.Helper()
+	for _, policy := range []Policy{NonPreemptiveFP, PreemptiveFP} {
+		got, want := Analyze(g, policy), analyzeOracle(g, policy)
+		if !slices.Equal(got.WCRT, want.WCRT) {
+			for i := range got.WCRT {
+				if got.WCRT[i] != want.WCRT[i] {
+					t.Fatalf("%s/%v: R(%s) = %v, oracle %v", name, policy, g.Task(model.TaskID(i)).Name, got.WCRT[i], want.WCRT[i])
+				}
+			}
+		}
+		if got.Schedulable != want.Schedulable || !slices.Equal(got.Unschedulable, want.Unschedulable) {
+			t.Fatalf("%s/%v: schedulable %v %v, oracle %v %v", name, policy,
+				got.Schedulable, got.Unschedulable, want.Schedulable, want.Unschedulable)
+		}
+	}
+}
+
+// TestAnalyzeMatchesOracle pins the table-based Analyze to the
+// whole-graph scan over the random generators and the default fleet,
+// each with benchmark parameters and with shuffled priorities.
+func TestAnalyzeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	cfg := randgraph.DefaultConfig()
+	for trial := 0; trial < 40; trial++ {
+		var graphs []*model.Graph
+		if g, err := randgraph.GNM(5+rng.Intn(30), 40, cfg, rng); err == nil {
+			graphs = append(graphs, g)
+		}
+		if g, err := randgraph.Layered([]int{2, 3, 2}, 2, cfg, rng); err == nil {
+			graphs = append(graphs, g)
+		}
+		if g, _, _, err := randgraph.TwoChains(2+rng.Intn(5), cfg, rng); err == nil {
+			graphs = append(graphs, g)
+		}
+		if g, _, err := randgraph.Automotive(randgraph.DefaultAutomotive()); err == nil {
+			graphs = append(graphs, g)
+		}
+		if len(graphs) != 4 {
+			t.Fatalf("trial %d: generator failed", trial)
+		}
+		for k, g := range graphs {
+			waters.Populate(g, rng)
+			name := fmt.Sprintf("trial %d graph %d", trial, k)
+			checkAgainstOracle(t, name, g)
+			// Any order, not only rate-monotonic, must agree too.
+			for _, p := range rng.Perm(g.NumTasks()) {
+				g.Task(model.TaskID(p)).Prio = rng.Intn(g.NumTasks())
+			}
+			checkAgainstOracle(t, name+" shuffled", g)
+		}
+	}
+
+	g, _, err := randgraph.Fleet(randgraph.DefaultFleet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waters.PopulateBudget(g, rng, 20*ms, 0.5)
+	checkAgainstOracle(t, "fleet", g)
+}
+
+// TestAnalyzeUnvalidatedMatchesOracle covers graphs Validate rejects:
+// duplicate priorities on one ECU, stimuli next to scheduled tasks, and
+// ECU IDs outside ECUs(). Analyze must not panic and must agree with
+// the scan.
+func TestAnalyzeUnvalidatedMatchesOracle(t *testing.T) {
+	g := model.NewGraph()
+	e0 := g.AddECU("e0", model.Compute)
+	e1 := g.AddECU("e1", model.Compute)
+	g.AddTask(model.Task{Name: "stim", Period: 10 * ms, ECU: model.NoECU})
+	// Three tasks share priority 1 on e0; the blocking of each must see
+	// the other two.
+	g.AddTask(model.Task{Name: "a", WCET: 2 * ms, BCET: ms, Period: 20 * ms, Prio: 1, ECU: e0})
+	g.AddTask(model.Task{Name: "b", WCET: 5 * ms, BCET: ms, Period: 40 * ms, Prio: 1, ECU: e0})
+	g.AddTask(model.Task{Name: "c", WCET: 3 * ms, BCET: ms, Period: 30 * ms, Prio: 1, ECU: e0})
+	g.AddTask(model.Task{Name: "top", WCET: ms, BCET: ms, Period: 5 * ms, Prio: 0, ECU: e0})
+	g.AddTask(model.Task{Name: "low", WCET: 4 * ms, BCET: ms, Period: 50 * ms, Prio: 7, ECU: e0})
+	g.AddTask(model.Task{Name: "solo", WCET: ms, BCET: ms, Period: 5 * ms, Prio: 3, ECU: e1})
+	// Out-of-range ECU IDs on both sides, sharing a priority on ECU 9.
+	g.AddTask(model.Task{Name: "x", WCET: 2 * ms, BCET: ms, Period: 10 * ms, Prio: 0, ECU: 9})
+	g.AddTask(model.Task{Name: "y", WCET: 3 * ms, BCET: ms, Period: 10 * ms, Prio: 0, ECU: 9})
+	g.AddTask(model.Task{Name: "z", WCET: ms, BCET: ms, Period: 10 * ms, Prio: 2, ECU: -4})
+	if g.Validate() == nil {
+		t.Fatal("fixture should be invalid")
+	}
+	checkAgainstOracle(t, "unvalidated", g)
+
+	// Random unvalidated sets: few priority values and a few ECU IDs
+	// past the declared ones.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		g := model.NewGraph()
+		g.AddECU("e0", model.Compute)
+		g.AddECU("e1", model.Compute)
+		for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+			ecu := model.ECUID(rng.Intn(4) - 1) // NoECU, 0, 1, or the unknown 2
+			w := timeu.Time(rng.Intn(4)) * ms
+			if ecu == model.NoECU {
+				w = 0
+			}
+			g.AddTask(model.Task{
+				WCET: w, Period: timeu.Time(5+rng.Intn(40)) * ms,
+				Prio: rng.Intn(4), ECU: ecu,
+			})
+		}
+		checkAgainstOracle(t, fmt.Sprintf("random unvalidated %d", trial), g)
+	}
+}
+
+// assignAudsleyOracle is the Audsley search driven by the whole-graph
+// scan: it writes tentative priorities into a clone and analyses each
+// candidate with its interferers.
+func assignAudsleyOracle(g *model.Graph) bool {
+	work := g.Clone()
+	for _, ecu := range work.ECUs() {
+		ids := work.TasksOnECU(ecu.ID)
+		unassigned := append([]model.TaskID(nil), ids...)
+		for level := len(ids) - 1; level >= 0; level-- {
+			placed := false
+			for i, cand := range unassigned {
+				work.Task(cand).Prio = level
+				rank := 0
+				for _, other := range unassigned {
+					if other != cand {
+						work.Task(other).Prio = rank
+						rank++
+					}
+				}
+				hp, lp := interferers(work, cand)
+				var blk timeu.Time
+				for _, o := range lp {
+					blk = timeu.Max(blk, o.WCET)
+				}
+				task := work.Task(cand)
+				if r, ok := npResponseTime(task, hp, blk); ok && r <= task.EffectiveDeadline() {
+					unassigned = append(unassigned[:i], unassigned[i+1:]...)
+					placed = true
+					break
+				}
+			}
+			if !placed {
+				return false
+			}
+		}
+	}
+	for i := 0; i < g.NumTasks(); i++ {
+		g.Task(model.TaskID(i)).Prio = work.Task(model.TaskID(i)).Prio
+	}
+	return true
+}
+
+// TestAudsleyMatchesOracle checks that AssignAudsley finds exactly the
+// oracle search's assignment, and leaves the graph alone when both fail.
+func TestAudsleyMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	found := 0
+	for trial := 0; trial < 300; trial++ {
+		g := model.NewGraph()
+		ecus := []model.ECUID{g.AddECU("e0", model.Compute), g.AddECU("e1", model.Compute)}
+		for i, n := 0, 2+rng.Intn(7); i < n; i++ {
+			period := timeu.Time(5+rng.Intn(50)) * ms
+			w := timeu.Time(1+rng.Intn(8)) * ms / 2
+			if w > period {
+				w = period
+			}
+			g.AddTask(model.Task{WCET: w, BCET: w / 2, Period: period, Prio: i, ECU: ecus[rng.Intn(2)]})
+		}
+		want := g.Clone()
+		okWant := assignAudsleyOracle(want)
+		before := g.Clone()
+		ok := AssignAudsley(g)
+		if ok != okWant {
+			t.Fatalf("trial %d: AssignAudsley = %v, oracle %v", trial, ok, okWant)
+		}
+		if ok {
+			found++
+		} else {
+			want = before
+		}
+		for i := 0; i < g.NumTasks(); i++ {
+			if got, exp := g.Task(model.TaskID(i)).Prio, want.Task(model.TaskID(i)).Prio; got != exp {
+				t.Fatalf("trial %d (ok=%v): Prio(%d) = %d, want %d", trial, ok, i, got, exp)
+			}
+		}
+	}
+	if found == 0 || found == 300 {
+		t.Fatalf("Audsley succeeded on %d of 300 sets; want a mix", found)
 	}
 }

@@ -20,7 +20,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkPairBounds$|BenchmarkPairBoundsReference$|BenchmarkChainIndex$|BenchmarkAnalyzePDiff$|BenchmarkAnalyzeSDiff$|BenchmarkEnumerateChains$|BenchmarkBoundsSweepCached$|BenchmarkChainIndexFleet$|BenchmarkPairBoundsFleet$|BenchmarkPairBoundsFleetPruned$' \
+	-bench 'BenchmarkPairBounds$|BenchmarkPairBoundsReference$|BenchmarkChainIndex$|BenchmarkAnalyzePDiff$|BenchmarkAnalyzeSDiff$|BenchmarkEnumerateChains$|BenchmarkBoundsSweepCached$|BenchmarkChainIndexFleet$|BenchmarkPairBoundsFleet$|BenchmarkPairBoundsFleetPruned$|BenchmarkWCRT$|BenchmarkWCRTFleet$|BenchmarkValidateFleet$' \
 	-benchtime 10x -count "$COUNT" -benchmem . | tee "$TMP"
 
 # Best-of-count per benchmark: min ns/op and the allocs/op (identical
@@ -47,12 +47,14 @@ current="$(awk '
 if [ -f "$OUT" ]; then
 	jq --argjson cur "$current" \
 		--arg go "$(go version | awk '{print $3 " " $4}')" \
-		'.current = $cur | .machine.go = $go' "$OUT" >"$OUT.new"
+		--argjson cpus "$(nproc)" \
+		'.current = $cur | .machine.go = $go | .machine.cpus = $cpus' "$OUT" >"$OUT.new"
 	mv "$OUT.new" "$OUT"
 else
 	jq -n --argjson cur "$current" \
 		--arg go "$(go version | awk '{print $3 " " $4}')" \
-		'{machine: {go: $go}, baseline: null, current: $cur}' >"$OUT"
+		--argjson cpus "$(nproc)" \
+		'{machine: {go: $go, cpus: $cpus}, baseline: null, current: $cur}' >"$OUT"
 fi
 
 echo "wrote $OUT"

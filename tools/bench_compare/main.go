@@ -58,6 +58,7 @@ var ratioPairs = [][2]string{
 	{"BenchmarkChainIndexFleet", "BenchmarkChainIndex"},
 	{"BenchmarkPairBoundsFleet", "BenchmarkPairBounds"},
 	{"BenchmarkPairBoundsFleetPruned", "BenchmarkPairBoundsFleet"},
+	{"BenchmarkWCRTFleet", "BenchmarkWCRT"},
 }
 
 type tolerances struct {
