@@ -45,6 +45,11 @@
 #                 them against the checked-in baselines with
 #                 tools/bench_compare (BENCH_GATE_FLAGS=-report-only
 #                 for advisory mode); fails on ratio/alloc regression
+#   fuzz-smoke  - run each parser fuzz target for 15s: the graph
+#                 loader (FuzzReadJSON), the one-pass decoder against
+#                 its encoding/json oracle (FuzzReadJSONMatchesReference)
+#                 and the time parser against exact math/big evaluation
+#                 (FuzzParse)
 #   check       - build + test + race + bench
 #
 # tools/escape_check.sh (not wired into check; advisory) prints sim hot-path
@@ -52,7 +57,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json verify-obs verify-latency verify-sim-cycle verify-explain verify-scale bench-gate check
+.PHONY: build test race bench bench-smoke bench-json verify-obs verify-latency verify-sim-cycle verify-explain verify-scale bench-gate fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -113,5 +118,10 @@ verify-latency:
 	$(GO) test -run 'TestLatency' ./internal/core/... ./internal/sim/... ./internal/methods/...
 	$(GO) test -run 'TestLatencySweep' ./internal/exp/...
 	$(GO) test -run 'FuzzIndexMatchesEnumerate' ./internal/chains/...
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 15s ./internal/model
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONMatchesReference$$' -fuzztime 15s ./internal/model
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/timeu
 
 check: build test race bench

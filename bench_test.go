@@ -9,6 +9,7 @@
 package disparity_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -489,6 +490,25 @@ func BenchmarkValidateFleet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := g.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadJSONFleet times the parse stage of disparity-analyze:
+// ReadGraph (decode, build, Validate) on the fleet workload's JSON,
+// ~445 KB for ~2100 tasks.
+func BenchmarkReadJSONFleet(b *testing.B) {
+	g, _ := fleetBenchGraph(b)
+	var buf bytes.Buffer
+	if err := g.WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	js := buf.Bytes()
+	b.SetBytes(int64(len(js)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := disparity.ReadGraph(bytes.NewReader(js)); err != nil {
 			b.Fatal(err)
 		}
 	}

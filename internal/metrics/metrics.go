@@ -15,6 +15,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,7 +80,8 @@ func (c *Counter) reset() {
 // The (total, count) pair is kept coherent with a seqlock: writers
 // serialize on the sequence word (one CAS on the uncontended path) and
 // bracket their two adds with odd/even transitions; Snapshot retries
-// until it reads an even, unchanged sequence. Total and Count read one
+// until it reads an even, unchanged sequence, or under sustained
+// writes takes the write side itself. Total and Count read one
 // word each and never tear individually, but reading them separately
 // can still observe an update between the two calls — use Snapshot for
 // a coherent pair (Registry.Snapshot does).
@@ -117,10 +119,14 @@ func (t *Timer) Count() int64 { return t.count.Load() }
 
 // Snapshot returns the accumulated total and count as one coherent
 // pair: the returned values come from the same point in the
-// observation sequence, even under concurrent Observe calls. After a
-// bounded number of retries under sustained writes it falls back to a
-// possibly-torn read (in practice unreachable: the write side holds
-// the sequence odd only for two atomic adds).
+// observation sequence, even under concurrent Observe calls. It never
+// returns a torn pair. It first retries lock-free reads; if sustained
+// writes keep the sequence moving through all of them, it takes the
+// sequence's write side itself, as Observe does, so no add can land
+// between its two loads. It yields the processor after each round of
+// failed attempts to take it, so a writer descheduled while holding
+// the sequence can finish. (Retrying lock-free reads alone, even with
+// yields, starved for tens of seconds under -race with four writers.)
 func (t *Timer) Snapshot() (total time.Duration, count int64) {
 	for attempt := 0; attempt < 128; attempt++ {
 		s := t.seq.Load()
@@ -132,7 +138,18 @@ func (t *Timer) Snapshot() (total time.Duration, count int64) {
 			return time.Duration(ns), c
 		}
 	}
-	return time.Duration(t.ns.Load()), t.count.Load()
+	for attempt := 1; ; attempt++ {
+		s := t.seq.Load()
+		if s&1 == 0 && t.seq.CompareAndSwap(s, s+1) {
+			break
+		}
+		if attempt%128 == 0 {
+			runtime.Gosched()
+		}
+	}
+	total, count = time.Duration(t.ns.Load()), t.count.Load()
+	t.seq.Add(1)
+	return total, count
 }
 
 // Registry is a named collection of instruments. The zero value is not

@@ -17,7 +17,8 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/timeu"
 )
@@ -310,8 +311,8 @@ func (g *Graph) ensureAdj() {
 		g.pred[e.Dst] = append(g.pred[e.Dst], e.Src)
 	}
 	for i := 0; i < n; i++ {
-		sort.Slice(g.succ[i], func(a, b int) bool { return g.succ[i][a] < g.succ[i][b] })
-		sort.Slice(g.pred[i], func(a, b int) bool { return g.pred[i][a] < g.pred[i][b] })
+		slices.Sort(g.succ[i])
+		slices.Sort(g.pred[i])
 	}
 	g.adjValid = true
 }
@@ -496,22 +497,22 @@ func (g *Graph) Validate() error {
 		}
 	}
 	// Priorities must totally order the tasks of each ECU.
-	byECU := make(map[ECUID]map[int]TaskID)
+	type ecuPrio struct {
+		ecu  ECUID
+		prio int
+	}
+	byPrio := make(map[ecuPrio]TaskID, len(g.tasks))
 	for i := range g.tasks {
 		t := &g.tasks[i]
 		if t.ECU == NoECU {
 			continue
 		}
-		m := byECU[t.ECU]
-		if m == nil {
-			m = make(map[int]TaskID)
-			byECU[t.ECU] = m
-		}
-		if prev, dup := m[t.Prio]; dup {
+		k := ecuPrio{t.ECU, t.Prio}
+		if prev, dup := byPrio[k]; dup {
 			return fmt.Errorf("model: tasks %s and %s share priority %d on ECU %d",
 				g.tasks[prev].Name, t.Name, t.Prio, t.ECU)
 		}
-		m[t.Prio] = TaskID(i)
+		byPrio[k] = TaskID(i)
 	}
 	if _, err := g.TopoOrder(); err != nil {
 		return err
@@ -522,14 +523,12 @@ func (g *Graph) Validate() error {
 // Clone returns a deep copy of the graph. Mutating the clone (e.g. its
 // buffer sizes, as Algorithm 1 does) leaves the original untouched.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	c.tasks = append([]Task(nil), g.tasks...)
-	c.ecus = append([]ECU(nil), g.ecus...)
-	c.edges = append([]Edge(nil), g.edges...)
-	for k, v := range g.edgeIdx {
-		c.edgeIdx[k] = v
+	return &Graph{
+		tasks:   slices.Clone(g.tasks),
+		ecus:    slices.Clone(g.ecus),
+		edges:   slices.Clone(g.edges),
+		edgeIdx: maps.Clone(g.edgeIdx),
 	}
-	return c
 }
 
 // Hyperperiod returns the LCM of all task periods.

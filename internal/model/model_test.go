@@ -226,6 +226,27 @@ func TestValidateRules(t *testing.T) {
 	}
 }
 
+// TestValidateReportsFirstDuplicatePriority pins which of two duplicate
+// priority pairs on different ECUs is reported: the pair completed
+// first in task-ID order, with the earlier task named first. Equal
+// priorities on different ECUs and among NoECU stimuli are fine.
+func TestValidateReportsFirstDuplicatePriority(t *testing.T) {
+	g := NewGraph()
+	e0 := g.AddECU("e0", Compute)
+	e1 := g.AddECU("e1", Compute)
+	g.AddTask(Task{Name: "s0", Period: 10 * ms, Prio: 1, ECU: NoECU})
+	g.AddTask(Task{Name: "s1", Period: 10 * ms, Prio: 1, ECU: NoECU})
+	g.AddTask(Task{Name: "a", WCET: ms, BCET: ms, Period: 10 * ms, Prio: 1, ECU: e1})
+	g.AddTask(Task{Name: "b", WCET: ms, BCET: ms, Period: 10 * ms, Prio: 1, ECU: e0})
+	g.AddTask(Task{Name: "c", WCET: ms, BCET: ms, Period: 10 * ms, Prio: 2, ECU: e0})
+	g.AddTask(Task{Name: "d", WCET: ms, BCET: ms, Period: 10 * ms, Prio: 2, ECU: e0})
+	g.AddTask(Task{Name: "e", WCET: ms, BCET: ms, Period: 10 * ms, Prio: 1, ECU: e1})
+	want := "model: tasks c and d share priority 2 on ECU 0"
+	if err := g.Validate(); err == nil || err.Error() != want {
+		t.Fatalf("Validate() = %v, want %q", err, want)
+	}
+}
+
 func TestHigherPriorityAndSameECU(t *testing.T) {
 	g := Fig2Graph()
 	t3, _ := g.TaskByName("t3")

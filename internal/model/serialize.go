@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"strings"
 
@@ -88,15 +89,49 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON deserializes a graph written by WriteJSON and validates it.
+// It reads r to the end and decodes the first JSON value with the
+// one-pass decoder of jsondecode.go, which accepts exactly what
+// encoding/json's Decoder (unknown fields disallowed) accepts for this
+// schema; DESIGN.md lists the contract.
 func ReadJSON(r io.Reader) (*Graph, error) {
-	var in graphJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	src, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("model: reading graph: %w", err)
+	}
+	in, err := decodeGraphJSON(src)
+	if err != nil {
 		return nil, fmt.Errorf("model: decoding graph: %w", err)
 	}
-	g := NewGraph()
-	ecuByName := make(map[string]ECUID)
+	return in.graph()
+}
+
+// readAll reads r to the end into one string, presized from the
+// reader's Len (bytes.Reader, strings.Reader, bytes.Buffer) or Stat
+// (*os.File) so the buffer is not grown by doubling.
+func readAll(r io.Reader) (string, error) {
+	var b strings.Builder
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		b.Grow(v.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() && int64(int(fi.Size())) == fi.Size() {
+			b.Grow(int(fi.Size()))
+		}
+	}
+	_, err := io.Copy(&b, r)
+	return b.String(), err
+}
+
+// graph builds and validates the graph a decoded file describes.
+func (in *graphJSON) graph() (*Graph, error) {
+	g := &Graph{
+		tasks:   make([]Task, 0, len(in.Tasks)),
+		ecus:    make([]ECU, 0, len(in.ECUs)),
+		edges:   make([]Edge, 0, len(in.Edges)),
+		edgeIdx: make(map[[2]TaskID]int, len(in.Edges)),
+	}
+	in.copyNames()
+	ecuByName := make(map[string]ECUID, len(in.ECUs))
 	for _, e := range in.ECUs {
 		var kind ECUKind
 		switch e.Kind {
@@ -112,7 +147,7 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		}
 		ecuByName[e.Name] = g.AddECU(e.Name, kind)
 	}
-	taskByName := make(map[string]TaskID)
+	taskByName := make(map[string]TaskID, len(in.Tasks))
 	parse := func(what, name, s string, def timeu.Time) (timeu.Time, error) {
 		if s == "" {
 			return def, nil
@@ -195,6 +230,35 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// copyNames moves every ECU and task name into one shared allocation.
+// The decoder returns plain strings as substrings of the input, so
+// without this the graph would keep the whole input text alive.
+func (in *graphJSON) copyNames() {
+	n := 0
+	for i := range in.ECUs {
+		n += len(in.ECUs[i].Name)
+	}
+	for i := range in.Tasks {
+		n += len(in.Tasks[i].Name)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i := range in.ECUs {
+		b.WriteString(in.ECUs[i].Name)
+	}
+	for i := range in.Tasks {
+		b.WriteString(in.Tasks[i].Name)
+	}
+	all := b.String()
+	take := func(name *string) { *name, all = all[:len(*name)], all[len(*name):] }
+	for i := range in.ECUs {
+		take(&in.ECUs[i].Name)
+	}
+	for i := range in.Tasks {
+		take(&in.Tasks[i].Name)
+	}
 }
 
 // WriteDOT renders the graph in Graphviz DOT format: one cluster per ECU,

@@ -10,6 +10,8 @@ package timeu
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -65,81 +67,108 @@ func (d Time) String() string {
 // formatFrac renders d as a decimal number of the given unit with up to
 // `digits` fractional digits (trailing zeros trimmed), exactly.
 func formatFrac(d, unit Time, digits int, suffix string) string {
-	neg := d < 0
-	if neg {
-		d = -d
+	// The magnitude is unsigned so that math.MinInt64 renders too.
+	mag, sign := uint64(d), ""
+	if d < 0 {
+		mag, sign = -mag, "-"
 	}
-	intPart := strconv.FormatInt(int64(d/unit), 10)
-	frac := strconv.FormatInt(int64(d%unit), 10)
+	intPart := strconv.FormatUint(mag/uint64(unit), 10)
+	frac := strconv.FormatUint(mag%uint64(unit), 10)
 	for len(frac) < digits {
 		frac = "0" + frac
 	}
 	frac = strings.TrimRight(frac, "0")
-	out := intPart + "." + frac + suffix
-	if neg {
-		out = "-" + out
-	}
-	return out
+	return sign + intPart + "." + frac + suffix
 }
+
+// units are the suffixes Parse accepts, tried in this order.
+var units = []struct {
+	suffix string
+	unit   Time
+}{{"min", Minute}, {"ns", Nanosecond}, {"us", Microsecond}, {"ms", Millisecond}, {"s", Second}}
 
 // Parse parses a time written as a decimal number followed by one of the
 // units "ns", "us", "ms", "s", or "min". A bare number is rejected so that
-// configuration files are always explicit about units.
+// configuration files are always explicit about units. The number is an
+// optional sign, then digits with at most one decimal point and at least
+// one digit ("5ms", "-4.75us", ".5s", "+2.ms"). Digits below a
+// nanosecond, and values outside the int64 nanosecond range (about
+// ±292 years), are errors: nothing is rounded or wrapped. "inf" parses
+// to Infinity, the spelling String gives it, so every Time round-trips.
 func Parse(s string) (Time, error) {
 	s = strings.TrimSpace(s)
+	if s == "inf" {
+		return Infinity, nil
+	}
 	unit := Time(0)
-	var suffix string
-	for _, u := range []struct {
-		suffix string
-		unit   Time
-	}{{"min", Minute}, {"ns", Nanosecond}, {"us", Microsecond}, {"ms", Millisecond}, {"s", Second}} {
-		if strings.HasSuffix(s, u.suffix) {
-			unit, suffix = u.unit, u.suffix
+	var num string
+	for _, u := range units {
+		if rest, ok := strings.CutSuffix(s, u.suffix); ok {
+			unit, num = u.unit, strings.TrimSpace(rest)
 			break
 		}
 	}
 	if unit == 0 {
 		return 0, fmt.Errorf("timeu: %q has no unit suffix (ns/us/ms/s/min)", s)
 	}
-	num := strings.TrimSpace(strings.TrimSuffix(s, suffix))
 	if num == "" {
 		return 0, fmt.Errorf("timeu: %q has no numeric part", s)
 	}
-	if i, err := strconv.ParseInt(num, 10, 64); err == nil {
-		return Time(i) * unit, nil
+	neg := num[0] == '-'
+	if neg || num[0] == '+' {
+		num = num[1:]
 	}
-	// Exact decimal parsing: "4.75us" must be exactly 4750 ns regardless
-	// of float rounding. Split at the decimal point and scale the
-	// fractional digits by the unit.
-	neg := strings.HasPrefix(num, "-")
-	body := strings.TrimPrefix(num, "-")
-	intPart, fracPart, found := strings.Cut(body, ".")
-	if !found {
+	intPart, fracPart, _ := strings.Cut(num, ".")
+	if intPart == "" && fracPart == "" || !isDigits(intPart) || !isDigits(fracPart) {
 		return 0, fmt.Errorf("timeu: cannot parse %q", s)
 	}
-	if intPart == "" {
-		intPart = "0"
-	}
-	ip, err := strconv.ParseInt(intPart, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("timeu: cannot parse %q: %v", s, err)
-	}
-	total := Time(ip) * unit
-	scale := unit
-	for _, digit := range fracPart {
-		if digit < '0' || digit > '9' {
-			return 0, fmt.Errorf("timeu: cannot parse %q", s)
+	// Exact decimal parsing: "4.75us" must be exactly 4750 ns regardless
+	// of float rounding. The magnitude is accumulated in a uint64 with
+	// every step overflow-checked, then signed.
+	var mag uint64
+	if intPart != "" {
+		i, err := strconv.ParseUint(intPart, 10, 64)
+		var hi uint64
+		if hi, mag = bits.Mul64(i, uint64(unit)); err != nil || hi != 0 {
+			return 0, overflowError(s)
 		}
+	}
+	scale := unit
+	for _, digit := range []byte(fracPart) {
 		if scale%10 != 0 {
 			return 0, fmt.Errorf("timeu: %q has more precision than a nanosecond", s)
 		}
 		scale /= 10
-		total += Time(digit-'0') * scale
+		var carry uint64
+		if mag, carry = bits.Add64(mag, uint64(digit-'0')*uint64(scale), 0); carry != 0 {
+			return 0, overflowError(s)
+		}
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++ // -2^63 is a Time, 2^63 is not
+	}
+	if mag > limit {
+		return 0, overflowError(s)
 	}
 	if neg {
-		total = -total
+		return Time(-mag), nil
 	}
-	return total, nil
+	return Time(mag), nil
+}
+
+func overflowError(s string) error {
+	return fmt.Errorf("timeu: %q overflows the int64 nanosecond range", s)
+}
+
+// isDigits reports whether s consists of ASCII digits only (true for "").
+func isDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // MustParse is Parse for trusted literals; it panics on error.

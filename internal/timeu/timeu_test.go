@@ -232,6 +232,18 @@ func TestParseAndString(t *testing.T) {
 		{"-0.5ms", -500 * Microsecond},
 		{"1234.567ms", 1234567 * Microsecond},
 		{"0.000000001s", 1},
+		{"+2.ms", 2 * Millisecond},
+		{"007ms", 7 * Millisecond},
+		{"9223372036854775807ns", math.MaxInt64},
+		{"-9223372036854775808ns", math.MinInt64},
+		{"9223372036.854775807s", math.MaxInt64},
+		{"-9223372036.854775808s", math.MinInt64},
+		{"153722867min", 153722867 * Minute},
+		{"-153722867.2806s", -153722867280600000},
+		// Infinity's value renders as "inf", which must parse back.
+		{"4611686018427387903ns", Infinity},
+		{"inf", Infinity},
+		{" inf ", Infinity},
 	}
 	for _, c := range cases {
 		got, err := Parse(c.in)
@@ -242,11 +254,26 @@ func TestParseAndString(t *testing.T) {
 		if got != c.want {
 			t.Errorf("Parse(%q) = %d, want %d", c.in, got, c.want)
 		}
+		if round, err := Parse(got.String()); err != nil || round != got {
+			t.Errorf("Parse(%q) = %v does not round-trip: %d, %v", c.in, got, round, err)
+		}
 	}
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"", "5", "ms", "x5ms", "5 kg", "1.2.3ms", "1.xms", "0.0000000001s", "1e3ms"} {
+	for _, in := range []string{
+		"", "5", "ms", "x5ms", "5 kg", "1.2.3ms", "1.xms", "0.0000000001s", "1e3ms",
+		// Malformed signs and digitless numbers.
+		".ms", "-.ms", "--1.5ms", "-+1ms", "+-1.5ms", "- 5ms",
+		// Values whose integer or fractional path leaves int64: each of
+		// these used to wrap silently.
+		"200000000000min", "-200000000000min", "9223372036854775807s",
+		"10000000000.5s", "9223372036854775808ns", "-9223372036854775809ns",
+		"9223372036.854775808s", "-9223372036.854775809s", "153722868min",
+		"18446744073709551616ns", "99999999999999999999ms",
+		// Only the exact spelling String gives Infinity is accepted.
+		"-inf", "+inf", "Inf", "infms",
+	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q): expected error", in)
 		}
@@ -266,6 +293,8 @@ func TestString(t *testing.T) {
 		{Infinity, "inf"},
 		{200*Millisecond + 1209*Microsecond/10, "200.1209ms"},
 		{-1500 * Microsecond, "-1.5ms"},
+		{math.MinInt64, "-9223372036854.775808ms"},
+		{math.MaxInt64, "9223372036854.775807ms"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
